@@ -8,10 +8,8 @@
 //! | Tea | ✓ | ✗ | ✗ |
 //! | Nezha | ✓ | ✓ | ✓ |
 
-use serde::{Deserialize, Serialize};
-
 /// Feature flags of one design (Table 2's three columns).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SystemFeatures {
     /// Design name.
     pub name: &'static str,

@@ -7,10 +7,9 @@
 
 use crate::arch::{self, ArchCtx, ArchParams};
 use nezha_vswitch::stage::StageVerdict;
-use serde::{Deserialize, Serialize};
 
 /// A Sailfish-like stateless gateway.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SailfishGateway {
     /// On-chip exact-match entries available for (stateless) tables.
     pub onchip_entries: u64,
@@ -26,8 +25,8 @@ impl SailfishGateway {
 
     /// Whether an NF with the given statefulness can be offloaded at
     /// all: the [`arch::sailfish_graph`] statefulness branch either
-    /// admits it or stops the pipeline. (The struct is `Copy`-plain and
-    /// serde-visible, so the graph is built here rather than stored.)
+    /// admits it or stops the pipeline. (The struct is `Copy`-plain, so
+    /// the graph is built here rather than stored.)
     pub fn can_offload(&self, stateful: bool) -> bool {
         let graph = arch::sailfish_graph();
         let mut ctx = ArchCtx {

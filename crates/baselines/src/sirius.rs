@@ -14,18 +14,10 @@
 //! And one cost Nezha does not have at all: the pool is **new hardware**.
 
 use crate::arch::{self, ArchCtx, ArchParams};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// The replication graph an instantiated pool carries (serde skips the
-/// compiled graph — it is a pure function of the architecture, not of
-/// the pool's parameters).
-fn replication_graph() -> Arc<arch::ArchGraph> {
-    Arc::new(arch::sirius_graph())
-}
-
 /// A Sirius-like DPU pool.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SiriusPool {
     /// Number of DPU cards (must be even: primary/secondary pairs).
     pub cards: usize,
@@ -39,7 +31,6 @@ pub struct SiriusPool {
     assignment: Vec<usize>,
     /// The connection graph (primary process + guarded in-line
     /// replication hop), compiled once at construction.
-    #[serde(skip, default = "replication_graph")]
     graph: Arc<arch::ArchGraph>,
 }
 
@@ -56,7 +47,7 @@ impl SiriusPool {
             card_sessions,
             buckets,
             assignment,
-            graph: replication_graph(),
+            graph: Arc::new(arch::sirius_graph()),
         }
     }
 

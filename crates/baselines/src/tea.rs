@@ -8,10 +8,9 @@
 
 use crate::arch::{self, ArchCtx, ArchParams};
 use nezha_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A Tea-like state-external switch.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TeaSwitch {
     /// On-chip state entries that fit in SRAM.
     pub onchip_sessions: u64,
@@ -55,8 +54,8 @@ impl TeaSwitch {
 
     /// The latency of one state access at the given `offchip` locality,
     /// evaluated through the [`arch::tea_graph`] locality branch. The
-    /// struct is `Copy`-plain (it travels through serde snapshots), so
-    /// the graph is built here rather than stored.
+    /// struct is `Copy`-plain, so the graph is built here rather than
+    /// stored.
     fn access_latency_s(&self, offchip: bool) -> f64 {
         let graph = arch::tea_graph();
         let mut ctx = ArchCtx {

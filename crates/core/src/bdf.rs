@@ -14,10 +14,8 @@
 //!   distinguished by VLAN tags; effectively unlimited numbers at the
 //!   cost of sharing the parent's I/O bandwidth.
 
-use serde::{Deserialize, Serialize};
-
 /// How a vNIC attaches to the VM's I/O space.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum VnicAttachment {
     /// Its own BDF number.
     Direct {
@@ -49,7 +47,7 @@ impl std::fmt::Display for BdfError {
 impl std::error::Error for BdfError {}
 
 /// The per-VM BDF allocator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BdfAllocator {
     /// SR-IOV / SIOV available (virtio >= 1.1): device+function fields
     /// usable, adding 256 more numbers (§7.4).

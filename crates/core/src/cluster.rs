@@ -5,8 +5,8 @@
 //!
 //! * [`crate::config`] — [`ClusterConfig`] + builder and the delayed
 //!   [`ConfigOp`] pushes;
-//! * [`crate::telemetry`] — the shared registry/trace/profiler bundle and
-//!   the aggregated [`ClusterStats`] view;
+//! * [`crate::telemetry`] — the shared registry/recorder bundle and the
+//!   aggregated [`ClusterStats`] view;
 //! * `crate::datapath` — the per-packet handlers (BE/FE roles, NSH demux,
 //!   the `HandlerCtx` plumbing every handler works through);
 //! * `crate::driver` — connection scripts, retries and probes.
@@ -30,7 +30,6 @@ use nezha_sim::profile::Profiler;
 use nezha_sim::rng::SimRng;
 use nezha_sim::time::SimTime;
 use nezha_sim::topology::Topology;
-use nezha_sim::trace::PacketTrace;
 use nezha_types::{Ipv4Addr, NezhaError, NezhaResult, Packet, ServerId, SessionKey, VnicId};
 use nezha_vswitch::vnic::Vnic;
 use nezha_vswitch::vswitch::VSwitch;
@@ -82,7 +81,7 @@ pub struct Cluster {
     /// call sequence, so replay stays seed-deterministic.
     pub(crate) pkt_slab: nezha_sim::dense::Slab<Packet>,
     next_probe_id: u64,
-    /// Telemetry: shared registry + trace + pre-registered handles.
+    /// Telemetry: shared registry + recorder + pre-registered handles.
     pub(crate) tel: ClusterTelemetry,
     /// Controller bookkeeping.
     pub(crate) controller: ControllerState,
@@ -116,7 +115,6 @@ impl Cluster {
             .map(|i| {
                 let mut vs = VSwitch::new(ServerId(i as u32), cfg.vswitch);
                 vs.attach_metrics(&tel.registry);
-                vs.attach_trace(&tel.trace);
                 vs.attach_profiler(&tel.profiler);
                 vs
             })
@@ -210,20 +208,16 @@ impl Cluster {
         &self.tel.registry
     }
 
-    /// The shared packet-trace ring (disabled until
-    /// [`Cluster::enable_trace`]).
-    pub fn trace(&self) -> &PacketTrace {
-        &self.tel.trace
-    }
-
-    /// Turns on structured per-packet tracing, keeping at most `capacity`
-    /// most-recent events. Pass 0 to disable again.
+    /// Turns on structured per-packet tracing in the shared recorder,
+    /// keeping at most `capacity` most-recent records (read them with
+    /// `profiler().events()`). Pass 0 to disable again.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.tel.trace.set_capacity(capacity);
+        self.tel.profiler.enable_events(capacity);
     }
 
-    /// The shared cycle-attribution [`Profiler`] (disabled until
-    /// [`Cluster::enable_profile`]).
+    /// The shared per-packet recorder: cycle-attribution spans (off until
+    /// [`Cluster::enable_profile`]) and trace events (off until
+    /// [`Cluster::enable_trace`]).
     pub fn profiler(&self) -> &Profiler {
         &self.tel.profiler
     }
@@ -231,6 +225,7 @@ impl Cluster {
     /// Turns on cycle-attribution profiling: every subsequent CPU charge
     /// records a causal span tree, keeping at most `span_capacity` full
     /// span records (aggregate stage/flamegraph totals are unbounded).
+    /// With tracing on too, the shared ring holds the larger capacity.
     pub fn enable_profile(&mut self, span_capacity: usize) {
         self.tel.profiler.enable(span_capacity);
     }

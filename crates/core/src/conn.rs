@@ -10,10 +10,9 @@
 
 use nezha_sim::time::SimTime;
 use nezha_types::{Direction, FiveTuple, ServerId, TcpFlags, VnicId, VpcId};
-use serde::{Deserialize, Serialize};
 
 /// Who initiates the connection, relative to the vNIC's VM.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConnKind {
     /// A remote client connects to the VM (the high-CPS middlebox /
     /// server pattern that overloads SmartNICs, §2.2.1).

@@ -22,11 +22,10 @@ use crate::cluster::{Cluster, ConfigOp, Event};
 use crate::fe::FrontEnd;
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::{NezhaError, NezhaResult, ServerId, VnicId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Controller thresholds and delays.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ControllerConfig {
     /// Utilization report / decision period.
     pub report_period: SimDuration,

@@ -149,13 +149,10 @@ pub(crate) fn be_handle_tx(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at: SimTi
     // does not split it further); the zero-cycle encap marker is the
     // causal parent the FE's span will hang off across the hop.
     let st = ctx.stages();
-    if let Some(root) = ctx.span(st.be_tx, &pkt, now, done, &[(st.session_update, charged)]) {
-        let encap = ctx.span_marker(st.nsh_encap, Some(root), &pkt, done, done, 0);
-        if let Some(encap) = encap {
-            out.prof_span = encap.to_raw();
-        }
+    let root = ctx.span(st.be_tx, &pkt, now, done, &[(st.session_update, charged)]);
+    if let Some(encap) = ctx.hop(TraceEventKind::NshEncap, st.nsh_encap, root, &pkt, done) {
+        out.prof_span = encap.to_raw();
     }
-    ctx.trace(done, &out, TraceEventKind::NshEncap);
     let lat = ctx.cl.topo.latency(server, fe, out.wire_len());
     ctx.cl.schedule_arrive(done + lat, fe, out, sent_at);
 }

@@ -2,9 +2,9 @@
 //! lives.
 //!
 //! Every BE/FE handler receives a `&mut HandlerCtx` and reaches metrics,
-//! the packet-trace ring, the profiler, the fault engine, and the
-//! CPU-charging model exclusively through it (lint rule D7 enforces
-//! this). The handlers keep direct access to protocol state via
+//! the per-packet recorder (trace events and profiler spans), the fault
+//! engine, and the CPU-charging model exclusively through it (lint rule
+//! D7 enforces this). The handlers keep direct access to protocol state via
 //! [`HandlerCtx::cl`] — split field borrows (`switches` vs `fes`) are
 //! obtained with `let cl = &mut *ctx.cl;`.
 
@@ -126,7 +126,8 @@ impl<'c> HandlerCtx<'c> {
 
     /// Records one cluster-level trace event for `pkt` at this server.
     pub(crate) fn trace(&self, at: SimTime, pkt: &Packet, kind: TraceEventKind) {
-        self.cl.trace_pkt(at, self.server, pkt, kind);
+        let ev = TraceEvent::of(at, self.server, pkt, kind);
+        self.cl.tel.profiler.event(ev);
     }
 
     /// Whether profiling is on (so handlers can skip leaf assembly).
@@ -139,8 +140,9 @@ impl<'c> HandlerCtx<'c> {
         &self.cl.tel.stages
     }
 
-    /// Records this handler's root span plus its cycle-bearing leaves;
-    /// returns the root id for threading across the BE↔FE hop.
+    /// Records this handler's root span (parented on the packet's carried
+    /// causal id) plus its cycle-bearing leaves; returns the root id for
+    /// threading across the BE↔FE hop.
     pub(crate) fn span(
         &self,
         stage: StageHandle,
@@ -149,14 +151,12 @@ impl<'c> HandlerCtx<'c> {
         end: SimTime,
         leaves: &[(StageHandle, u64)],
     ) -> Option<SpanId> {
-        self.cl
-            .tel
-            .profile_handler(stage, pkt, self.server, start, end, leaves)
+        let root = Span::root(stage, pkt, self.server, start, end);
+        self.cl.tel.profiler.record_tree(root, leaves)
     }
 
     /// Records one explicit marker span (NSH encap/decap hop parents)
-    /// under `parent`. Bytes/packets are not re-counted — the root span
-    /// carries them.
+    /// under `parent`.
     pub(crate) fn span_marker(
         &self,
         stage: StageHandle,
@@ -166,7 +166,36 @@ impl<'c> HandlerCtx<'c> {
         end: SimTime,
         cycles: u64,
     ) -> Option<SpanId> {
-        self.cl.tel.profiler.record(Span {
+        let marker = self.marker(stage, parent, pkt, start, end, cycles);
+        self.cl.tel.profiler.record(marker)
+    }
+
+    /// An NSH hop at `at`: the zero-cycle marker span under `parent` and
+    /// the trace event `kind`, recorded in one call.
+    pub(crate) fn hop(
+        &self,
+        kind: TraceEventKind,
+        stage: StageHandle,
+        parent: Option<SpanId>,
+        pkt: &Packet,
+        at: SimTime,
+    ) -> Option<SpanId> {
+        let marker = self.marker(stage, parent, pkt, at, at, 0);
+        self.cl.tel.profiler.mark(kind, marker)
+    }
+
+    /// A marker span on this server. Bytes/packets are not re-counted —
+    /// the root span carries them.
+    fn marker(
+        &self,
+        stage: StageHandle,
+        parent: Option<SpanId>,
+        pkt: &Packet,
+        start: SimTime,
+        end: SimTime,
+        cycles: u64,
+    ) -> Span {
+        Span {
             stage,
             parent,
             trace: pkt.trace,
@@ -177,7 +206,7 @@ impl<'c> HandlerCtx<'c> {
             cycles,
             bytes: 0,
             packets: 0,
-        })
+        }
     }
 
     // ------------------------------------------------------------------
@@ -191,11 +220,17 @@ impl<'c> HandlerCtx<'c> {
         self.cl.lose_packet(pkt.trace, self.now);
     }
 
-    /// Trace + profiler markers for a fault-discarded packet, *without*
-    /// loss accounting (the caller decides whether the packet counts).
+    /// Trace event + zero-cycle profiler marker for a fault-discarded
+    /// packet, parented under the packet's causal span so injected losses
+    /// show up inside the victim's span tree — *without* loss accounting
+    /// (the caller decides whether the packet counts).
     pub(crate) fn fault_drop_marker(&self, at: SimTime, pkt: &Packet, reason: DropReason) {
-        self.trace(at, pkt, TraceEventKind::Drop(reason));
-        self.cl.tel.profile_fault_drop(pkt, self.server, at);
+        let stage = self.cl.tel.stages.fault_drop;
+        let marker = Span::root(stage, pkt, self.server, at, at);
+        self.cl
+            .tel
+            .profiler
+            .mark(TraceEventKind::Drop(reason), marker);
     }
 
     /// A packet arrived somewhere that cannot process it: count the
@@ -262,27 +297,5 @@ impl<'c> HandlerCtx<'c> {
     /// [`Cluster::enable_windows`](crate::cluster::Cluster::enable_windows).
     pub(crate) fn note_fe_rx(&self) {
         self.cl.tel.note_fe_rx(self.server);
-    }
-}
-
-impl Cluster {
-    /// Records one cluster-level trace event for `pkt` at `server`.
-    /// Datapath code calls this through [`HandlerCtx::trace`].
-    pub(crate) fn trace_pkt(
-        &self,
-        at: SimTime,
-        server: ServerId,
-        pkt: &Packet,
-        kind: TraceEventKind,
-    ) {
-        if self.tel.trace.is_enabled() {
-            self.tel.trace.record(TraceEvent {
-                at,
-                trace_id: pkt.trace,
-                server,
-                vnic: pkt.vnic,
-                kind,
-            });
-        }
     }
 }

@@ -285,8 +285,6 @@ pub(crate) fn fe_stage_leaves(
 ) -> Vec<(nezha_sim::profile::StageHandle, u64)> {
     // nezha-lint: allow(D10): stage attribution only runs under `profiler_enabled()`, never in measurement runs
     let mut leaves = vec![(carry, carry_cycles)];
-    nezha_vswitch::stage::costing::plan_leaves(plan, st, &c, &mut |stage, cycles| {
-        leaves.push((stage, cycles));
-    });
+    nezha_vswitch::stage::costing::plan_leaves(plan, st, &c, &mut leaves);
     leaves
 }

@@ -101,7 +101,7 @@ pub(crate) fn fe_handle_tx_carry(
                 st.nsh_decap,
                 decap,
                 graphs.process.plan(fe_path(miss)),
-                pipeline::stage_costs(
+                graphs.stage_costs(
                     &costs,
                     &fe.vnic,
                     pkt.wire_len(),
@@ -197,7 +197,7 @@ pub(crate) fn fe_handle_rx(
                 st.nsh_encap,
                 0,
                 graphs.process.plan(fe_path(miss)),
-                pipeline::stage_costs(
+                graphs.stage_costs(
                     &costs,
                     &fe.vnic,
                     pkt.wire_len(),

@@ -16,8 +16,8 @@
 //! charging, loss/deny/completion accounting — goes through
 //! [`ctx::HandlerCtx`]; the plumbing exists once, in `ctx.rs`. Inside
 //! `datapath/` (except `ctx.rs` itself) direct access to `Cluster::tel`,
-//! `.metrics()`, `.profiler()`, `.trace_pkt()`, `.profile_handler()` or
-//! `.profile_fault_drop()` is a lint error (rule D7).
+//! `.metrics()` or `.profiler()` (the per-packet recorder) is a lint
+//! error (rule D7).
 //!
 //! A handler MAY:
 //! * read/mutate protocol state through `ctx.cl` (switches, sessions,
@@ -25,7 +25,7 @@
 //! * call any `HandlerCtx` method.
 //!
 //! A handler MUST NOT:
-//! * touch `tel`, the registry, the trace ring, or the profiler directly;
+//! * touch `tel`, the registry, or the recorder directly;
 //! * draw from the RNG (only `lose_packet`'s jitter does, inside the
 //!   driver);
 //! * panic on broken invariants — degrade to a counted misroute/loss.

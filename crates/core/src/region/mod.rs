@@ -57,11 +57,10 @@ use nezha_sim::rng::{derive_seed, SimRng};
 use nezha_sim::shard::{merge_effects, ShardSpec};
 use nezha_sim::stats::Samples;
 use nezha_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use shard::RegionShard;
 
 /// Which capability a demand spike stresses (Fig. 3's hotspot causes).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SpikeKind {
     /// New connections per second (CPU on the slow path).
     Cps,
@@ -72,7 +71,7 @@ pub enum SpikeKind {
 }
 
 /// Region model parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RegionConfig {
     /// Number of servers (paper: O(10K)).
     pub servers: usize,

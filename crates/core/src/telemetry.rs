@@ -1,6 +1,7 @@
 //! The cluster's telemetry plumbing: the shared [`MetricsRegistry`], the
-//! shared [`PacketTrace`] ring, the cycle-attribution [`Profiler`], and
-//! every pre-registered handle the hot paths increment through.
+//! shared per-packet recorder ([`Profiler`]: cycle-attribution spans and
+//! trace events), and every pre-registered handle the hot paths
+//! increment through.
 //!
 //! Registration happens exactly once, in [`ClusterTelemetry::register`]
 //! (called from `Cluster::new`); registry lookups are string-keyed and
@@ -13,11 +14,10 @@ use nezha_sim::metrics::{
     CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, SeriesHandle,
 };
 use nezha_sim::obs::{RegistryWindows, SloRule};
-use nezha_sim::profile::{Profiler, Span, SpanId, StageHandle, StageSet};
+use nezha_sim::profile::{Profiler, StageSet};
 use nezha_sim::stats::{Counter, Samples, TimeSeries};
 use nezha_sim::time::{SimDuration, SimTime};
-use nezha_sim::trace::PacketTrace;
-use nezha_types::{Packet, ServerId};
+use nezha_types::ServerId;
 
 /// Aggregated measurements.
 ///
@@ -84,17 +84,15 @@ pub struct ClusterStats {
 }
 
 /// The cluster's telemetry plumbing: the shared registry, the shared
-/// packet-trace ring, and the pre-registered handles every hot-path
+/// per-packet recorder, and the pre-registered handles every hot-path
 /// increment goes through. Registered once in `Cluster::new`.
 #[derive(Debug, Clone)]
 pub(crate) struct ClusterTelemetry {
     /// The registry shared by the engine, every vSwitch, and the cluster.
     pub(crate) registry: MetricsRegistry,
-    /// The trace ring shared with every vSwitch (disabled until
-    /// `Cluster::enable_trace`).
-    pub(crate) trace: PacketTrace,
-    /// The cycle-attribution profiler shared with every vSwitch (disabled
-    /// until `Cluster::enable_profile`).
+    /// The per-packet recorder shared with every vSwitch: spans are off
+    /// until `Cluster::enable_profile`, trace events until
+    /// `Cluster::enable_trace`.
     pub(crate) profiler: Profiler,
     /// Pre-registered span stage handles (lint rule D6: stage lookups are
     /// string-keyed and must never run mid-simulation).
@@ -170,7 +168,6 @@ impl ClusterTelemetry {
         let profiler = Profiler::new();
         let stages = StageSet::register(&profiler);
         ClusterTelemetry {
-            trace: PacketTrace::disabled(),
             profiler,
             stages,
             pkt_ok: c("pkt.ok"),
@@ -258,73 +255,6 @@ impl ClusterTelemetry {
     /// Series bin accumulation.
     pub(crate) fn series_add(&self, h: SeriesHandle, at: SimTime, v: f64) {
         self.registry.series_add(h, at, v);
-    }
-
-    /// Records one handler root span (zero cycles, one packet, the wire
-    /// bytes) plus its cycle-bearing leaves, returning the root id so the
-    /// caller can thread it through the next BE↔FE hop. The root parents
-    /// on the packet's carried causal id (`pkt.prof_span`). Zero-cycle
-    /// leaves are skipped — markers that must exist regardless (the NSH
-    /// hop parents) are recorded by the caller directly.
-    pub(crate) fn profile_handler(
-        &self,
-        stage: StageHandle,
-        pkt: &Packet,
-        server: ServerId,
-        start: SimTime,
-        end: SimTime,
-        leaves: &[(StageHandle, u64)],
-    ) -> Option<SpanId> {
-        if !self.profiler.is_enabled() {
-            return None;
-        }
-        let base = Span {
-            stage,
-            parent: SpanId::from_raw(pkt.prof_span),
-            trace: pkt.trace,
-            server,
-            vnic: pkt.vnic,
-            start,
-            end,
-            cycles: 0,
-            bytes: pkt.wire_len() as u64,
-            packets: 1,
-        };
-        let root = self.profiler.record(base);
-        for &(stage, cycles) in leaves {
-            if cycles > 0 {
-                self.profiler.record(Span {
-                    stage,
-                    parent: root,
-                    cycles,
-                    bytes: 0,
-                    packets: 0,
-                    ..base
-                });
-            }
-        }
-        root
-    }
-
-    /// Records the zero-cycle drop marker for a packet the fault engine
-    /// (or a dead peer) discarded, parented under the packet's causal
-    /// span so injected losses show up inside the victim's span tree.
-    pub(crate) fn profile_fault_drop(&self, pkt: &Packet, server: ServerId, at: SimTime) {
-        if !self.profiler.is_enabled() {
-            return;
-        }
-        self.profiler.record(Span {
-            stage: self.stages.fault_drop,
-            parent: SpanId::from_raw(pkt.prof_span),
-            trace: pkt.trace,
-            server,
-            vnic: pkt.vnic,
-            start: at,
-            end: at,
-            cycles: 0,
-            bytes: pkt.wire_len() as u64,
-            packets: 1,
-        });
     }
 
     /// Assembles the legacy [`ClusterStats`] view from the registry.

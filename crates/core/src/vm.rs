@@ -15,10 +15,9 @@
 
 use nezha_sim::resources::{CpuOutcome, CpuServer};
 use nezha_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a VM's kernel capacity.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct VmConfig {
     /// Number of vCPU cores.
     pub vcpus: u32,

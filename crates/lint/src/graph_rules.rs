@@ -44,9 +44,8 @@ const HINT_D11: &str = "pass per-shard state by &mut instead; shared mutable sta
 /// Observability modules allowed to keep `Rc`/`RefCell` internals: they
 /// are never shared across shard boundaries (one instance per shard,
 /// merged through explicit snapshots).
-const D11_ALLOWED_FILES: [&str; 7] = [
+const D11_ALLOWED_FILES: [&str; 6] = [
     "crates/sim/src/metrics.rs",
-    "crates/sim/src/trace.rs",
     "crates/sim/src/profile.rs",
     "crates/sim/src/obs/mod.rs",
     "crates/sim/src/obs/loghist.rs",
@@ -479,7 +478,7 @@ mod tests {
                 "static mut HITS: u64 = 0;\nfn f() { let c = Rc::new(1); }",
             ),
             (
-                "crates/sim/src/trace.rs",
+                "crates/sim/src/profile.rs",
                 "fn g() { let c = Rc::new(RefCell::new(1)); }",
             ),
             ("crates/lint/src/lexer.rs", "static TABLE: u8 = 1;"),

@@ -172,14 +172,9 @@ pub(crate) const CONTROL_PLANE_PATHS: [&str; 3] = [
 ];
 
 /// Cross-cutting accessors that datapath handlers must reach through
-/// `HandlerCtx` instead of calling directly (rule D7).
-const D7_METHODS: [&str; 5] = [
-    "metrics",
-    "profiler",
-    "trace_pkt",
-    "profile_handler",
-    "profile_fault_drop",
-];
+/// `HandlerCtx` instead of calling directly (rule D7): the registry and
+/// the per-packet recorder.
+const D7_METHODS: [&str; 2] = ["metrics", "profiler"];
 
 /// Methods whose call on a `HashMap`/`HashSet` binding observes the
 /// (randomised) iteration order.
@@ -785,7 +780,7 @@ mod tests {
             rules_found("crates/core/src/datapath/be.rs", tel),
             vec![("D7", 1), ("D7", 1)]
         );
-        let call = "fn f(cl: &Cluster, pkt: &Packet) { cl.trace_pkt(now, s, pkt, kind); }\n";
+        let call = "fn f(cl: &Cluster, ev: TraceEvent) { cl.profiler().event(ev); }\n";
         assert_eq!(
             rules_found("crates/core/src/datapath/fe.rs", call),
             vec![("D7", 1)]

@@ -5,9 +5,9 @@
 impl Cluster {
     fn be_handle_tx(&mut self, ctx: &mut HandlerCtx, pkt: &Packet) {
         self.tel.inc(self.tel.misroutes);
-        self.tel.profile_fault_drop(pkt, ctx.server, ctx.now);
+        self.profiler().mark(TraceEventKind::Notify, self.tel.marker(pkt));
     }
     fn fe_handle_rx(cl: &Cluster, pkt: &Packet) {
-        cl.trace_pkt(cl.now(), ServerId(0), pkt, TraceEventKind::Notify);
+        cl.profiler().event(TraceEvent::of(cl.now(), ServerId(0), pkt, TraceEventKind::Notify));
     }
 }

@@ -22,9 +22,9 @@
 //! * [`metrics`] — the unified telemetry registry: named, labeled
 //!   counters/gauges/histograms/series behind cheap pre-registered handles,
 //!   snapshotting to deterministic JSON;
-//! * [`trace`] — a bounded, filterable ring buffer of structured per-packet
-//!   events (enqueue, CPU charge, table hit/miss, NSH encap/decap, notify,
-//!   drop-with-reason) on the simulated clock;
+//! * [`trace`] — the structured per-packet event vocabulary (enqueue, CPU
+//!   charge, table hit/miss, NSH encap/decap, notify, drop-with-reason) on
+//!   the simulated clock, and its filter;
 //! * [`fault`] — deterministic fault injection: a scripted [`FaultPlan`]
 //!   of crashes, gray-slow members, (bursty) link loss, partitions,
 //!   controller outages, and notify drops, replayed on the simulated
@@ -37,9 +37,11 @@
 //!   id partitions ([`ShardSpec`]) and the keyed barrier merge
 //!   ([`merge_effects`]) whose output order is a pure function of
 //!   (shard id, sorted effect keys);
-//! * [`profile`] — cycle-attribution profiler and causal span tracer:
-//!   pre-registered stage handles, spans that link across the BE↔FE hop,
-//!   and deterministic flamegraph / Chrome `trace_event` exporters.
+//! * [`profile`] — the one per-packet recorder: cycle-attribution
+//!   profiler and causal span tracer (pre-registered stage handles, spans
+//!   that link across the BE↔FE hop, deterministic flamegraph / Chrome
+//!   `trace_event` exporters) whose bounded ring also holds the [`trace`]
+//!   events.
 //!
 //! The engine is intentionally *generic over the event type*: higher layers
 //! (`nezha-core`, the experiment harnesses) define their own event enums and
@@ -82,4 +84,4 @@ pub use shard::{merge_effects, ShardSpec};
 pub use stats::{Counter, Samples, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Topology, TopologyConfig};
-pub use trace::{DropReason, PacketTrace, TraceEvent, TraceEventKind, TraceFilter};
+pub use trace::{DropReason, TraceEvent, TraceEventKind, TraceFilter};

@@ -1,4 +1,5 @@
-//! Cycle-attribution profiler and causal span tracer.
+//! Cycle-attribution profiler, causal span tracer and per-packet event
+//! recorder.
 //!
 //! Every headline claim in the paper is a cycle-budget claim: offload wins
 //! because slow-path rule lookups and session handling dominate vSwitch
@@ -37,6 +38,17 @@
 //! - a bounded ring of full span records (the Chrome `trace_event`
 //!   export, [`Profiler::chrome_trace`], and tree queries).
 //!
+//! ## Trace events
+//!
+//! The same ring also holds the packet-level [`TraceEvent`]s (enqueue,
+//! table hit/miss, NSH encap/decap, notify, drop-with-reason), so one
+//! recorder narrates a packet's trip and attributes its cycles. Spans
+//! and events are switched on separately ([`Profiler::enable`],
+//! [`Profiler::enable_events`]); the ring keeps the larger of the two
+//! capacities' worth of most-recent records, whichever kind they are.
+//! A site that records a span and an event for the same fact at the
+//! same instant does so in one call ([`Profiler::mark`]).
+//!
 //! ## Determinism invariants
 //!
 //! All timestamps come from [`SimTime`]; the profiler holds no wall-clock,
@@ -45,7 +57,8 @@
 //! behaviour: the profiler is a pure observer and is disabled by default.
 
 use crate::time::SimTime;
-use nezha_types::{ServerId, VnicId};
+use crate::trace::{TraceEvent, TraceEventKind, TraceFilter};
+use nezha_types::{Packet, ServerId, VnicId};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -120,6 +133,32 @@ pub struct Span {
     pub packets: u64,
 }
 
+impl Span {
+    /// A handler's root span for `pkt` on `server`: no self cycles (its
+    /// leaves carry them), one packet and its wire bytes, parented on the
+    /// causal id the packet carries (`pkt.prof_span`).
+    pub fn root(
+        stage: StageHandle,
+        pkt: &Packet,
+        server: ServerId,
+        start: SimTime,
+        end: SimTime,
+    ) -> Span {
+        Span {
+            stage,
+            parent: SpanId::from_raw(pkt.prof_span),
+            trace: pkt.trace,
+            server,
+            vnic: pkt.vnic,
+            start,
+            end,
+            cycles: 0,
+            bytes: pkt.wire_len() as u64,
+            packets: 1,
+        }
+    }
+}
+
 /// One recorded span, as stored in the ring and returned by queries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
@@ -172,6 +211,13 @@ struct PathNode {
     stage: usize,
 }
 
+/// One entry of the shared ring.
+#[derive(Clone, Copy, Debug)]
+enum Record {
+    Span(SpanRecord),
+    Event(TraceEvent),
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     enabled: bool,
@@ -181,14 +227,63 @@ struct Inner {
     paths: Vec<PathNode>,
     path_index: BTreeMap<(u32, usize), u32>,
     path_agg: Vec<StageTotals>,
-    spans: VecDeque<SpanRecord>,
-    capacity: usize,
+    ring: VecDeque<Record>,
+    span_capacity: usize,
+    /// Trace events are recorded while this is nonzero.
+    event_capacity: usize,
+    filter: TraceFilter,
     recorded: u64,
     evicted: u64,
     next_seq: u64,
 }
 
-/// The shared profiler. `Clone` shares the same underlying store (the
+impl Inner {
+    fn capacity(&self) -> usize {
+        self.span_capacity.max(self.event_capacity)
+    }
+
+    /// Applies a changed capacity: evicts the oldest records that no
+    /// longer fit and pre-sizes the ring, so steady-state recording never
+    /// grows the allocation mid-measurement (a realloc pause inside the
+    /// measured region would skew the very spans being recorded). Huge
+    /// capacities (effectively "unbounded") are not paid for eagerly.
+    fn resize(&mut self) {
+        const EAGER_PREALLOC_MAX: usize = 1 << 20;
+        let capacity = self.capacity();
+        while self.ring.len() > capacity {
+            self.ring.pop_front();
+            self.evicted += 1;
+        }
+        if capacity <= EAGER_PREALLOC_MAX {
+            self.ring.reserve_exact(capacity - self.ring.len());
+        }
+    }
+
+    /// Appends one record, evicting the oldest when the ring is full.
+    fn push(&mut self, record: Record) {
+        if self.ring.len() >= self.capacity() {
+            self.ring.pop_front();
+            self.evicted += 1;
+        }
+        self.ring.push_back(record);
+    }
+
+    fn spans(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.ring.iter().filter_map(|r| match r {
+            Record::Span(s) => Some(s),
+            Record::Event(_) => None,
+        })
+    }
+
+    fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+        self.ring.iter().filter_map(|r| match r {
+            Record::Event(e) => Some(e),
+            Record::Span(_) => None,
+        })
+    }
+}
+
+/// The shared recorder. `Clone` shares the same underlying store (the
 /// same single-ownership model as `MetricsRegistry`): the cluster creates
 /// one and hands clones to every component it instruments.
 #[derive(Clone, Debug, Default)]
@@ -225,28 +320,15 @@ impl Profiler {
         inner.stages.get(h.0).cloned().unwrap_or_default()
     }
 
-    /// Enables recording with a span-ring capacity. Aggregates (stage and
-    /// flamegraph totals) are unbounded but tiny; only the full span
-    /// records are ring-bounded. Capacity 0 keeps aggregation but drops
-    /// span records (flamegraph works, Chrome trace is empty).
+    /// Enables span recording with a span-ring capacity. Aggregates
+    /// (stage and flamegraph totals) are unbounded but tiny; only the
+    /// full span records are ring-bounded. Capacity 0 keeps aggregation
+    /// but drops span records (flamegraph works, Chrome trace is empty).
     pub fn enable(&self, span_capacity: usize) {
         let mut inner = self.inner.borrow_mut();
         inner.enabled = true;
-        inner.capacity = span_capacity;
-        // Pre-size the ring so steady-state recording never grows the
-        // allocation mid-measurement (a realloc pause inside the measured
-        // region would skew the very spans being recorded). Huge
-        // capacities (effectively "unbounded") are not paid for eagerly.
-        const EAGER_PREALLOC_MAX: usize = 1 << 20;
-        if span_capacity <= EAGER_PREALLOC_MAX {
-            let additional = span_capacity.saturating_sub(inner.spans.len());
-            inner.spans.reserve_exact(additional);
-        }
-    }
-
-    /// Stops recording (registered stages and collected data remain).
-    pub fn disable(&self) {
-        self.inner.borrow_mut().enabled = false;
+        inner.span_capacity = span_capacity;
+        inner.resize();
     }
 
     /// True when spans are being recorded. Instrumentation sites check
@@ -255,19 +337,66 @@ impl Profiler {
         self.inner.borrow().enabled
     }
 
-    /// Discards all recorded data (stage registrations survive).
-    pub fn clear(&self) {
+    /// Turns on trace-event recording, keeping at most `capacity`
+    /// most-recent records in the ring (the larger of this and the span
+    /// capacity). Pass 0 to stop recording events again.
+    pub fn enable_events(&self, capacity: usize) {
         let mut inner = self.inner.borrow_mut();
-        for a in &mut inner.stage_agg {
-            *a = StageTotals::default();
+        inner.event_capacity = capacity;
+        inner.resize();
+    }
+
+    /// Sets the record-time event filter (applies to subsequent events
+    /// only; spans are never filtered).
+    pub fn set_filter(&self, filter: TraceFilter) {
+        self.inner.borrow_mut().filter = filter;
+    }
+
+    /// Records one trace event. No-op while events are off or the filter
+    /// rejects it (the only per-call cost then is the check).
+    pub fn event(&self, ev: TraceEvent) {
+        let mut inner = self.inner.borrow_mut();
+        if inner.event_capacity == 0 || !inner.filter.accepts(&ev) {
+            return;
         }
-        inner.paths.clear();
-        inner.path_index.clear();
-        inner.path_agg.clear();
-        inner.spans.clear();
-        inner.recorded = 0;
-        inner.evicted = 0;
-        inner.next_seq = 0;
+        inner.recorded += 1;
+        inner.push(Record::Event(ev));
+    }
+
+    /// Records the trace event `kind` stamped at the span's end together
+    /// with the span itself: one call for a fact both record kinds see
+    /// at the same instant (an NSH hop marker, a fault drop).
+    pub fn mark(&self, kind: TraceEventKind, span: Span) -> Option<SpanId> {
+        self.event(TraceEvent {
+            at: span.end,
+            trace_id: span.trace,
+            server: span.server,
+            vnic: span.vnic,
+            kind,
+        });
+        self.record(span)
+    }
+
+    /// Records a root span and, under it, one leaf per cycle-bearing
+    /// `(stage, cycles)` entry (zero-cycle leaves are skipped). Leaves
+    /// share the root's packet, server and interval but not its bytes or
+    /// packets, which the root already counts. Returns the root's id
+    /// (`None` while disabled) so callers can thread it across a hop.
+    pub fn record_tree(&self, root: Span, leaves: &[(StageHandle, u64)]) -> Option<SpanId> {
+        let id = self.record(root)?;
+        for &(stage, cycles) in leaves {
+            if cycles > 0 {
+                self.record(Span {
+                    stage,
+                    parent: Some(id),
+                    cycles,
+                    bytes: 0,
+                    packets: 0,
+                    ..root
+                });
+            }
+        }
+        Some(id)
     }
 
     /// Records one span. Returns `None` when disabled (the only per-call
@@ -303,12 +432,8 @@ impl Profiler {
         };
         inner.next_seq += 1;
         inner.recorded += 1;
-        if inner.capacity > 0 {
-            if inner.spans.len() == inner.capacity {
-                inner.spans.pop_front();
-                inner.evicted += 1;
-            }
-            inner.spans.push_back(SpanRecord {
+        if inner.span_capacity > 0 {
+            inner.push(Record::Span(SpanRecord {
                 id,
                 parent: span.parent,
                 stage: span.stage,
@@ -320,19 +445,46 @@ impl Profiler {
                 cycles: span.cycles,
                 bytes: span.bytes,
                 packets: span.packets,
-            });
+            }));
         }
         Some(id)
     }
 
-    /// Total spans recorded since enable/clear.
+    /// Total records accepted: spans (including those only aggregated,
+    /// under span capacity 0) plus trace events.
     pub fn recorded(&self) -> u64 {
         self.inner.borrow().recorded
     }
 
-    /// Span records evicted from the ring.
+    /// Records of either kind pushed out of the ring because it was full.
     pub fn evicted(&self) -> u64 {
         self.inner.borrow().evicted
+    }
+
+    /// The buffered trace events, oldest first.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.inner.borrow().events().copied().collect()
+    }
+
+    /// The buffered trace events passing `filter`, oldest first.
+    pub fn query(&self, filter: TraceFilter) -> Vec<TraceEvent> {
+        let inner = self.inner.borrow();
+        inner
+            .events()
+            .filter(|ev| filter.accepts(ev))
+            .copied()
+            .collect()
+    }
+
+    /// The buffered trace events of one packet (by `trace_id`), oldest
+    /// first.
+    pub fn packet(&self, trace_id: u64) -> Vec<TraceEvent> {
+        let inner = self.inner.borrow();
+        inner
+            .events()
+            .filter(|ev| ev.trace_id == trace_id)
+            .copied()
+            .collect()
     }
 
     /// Sum of self cycles across all stages — equals the CPU model's
@@ -353,25 +505,19 @@ impl Profiler {
 
     /// All span records currently in the ring, oldest first.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.borrow().spans.iter().copied().collect()
+        self.inner.borrow().spans().copied().collect()
     }
 
     /// The span record with the given id, if still in the ring.
     pub fn span(&self, id: SpanId) -> Option<SpanRecord> {
-        self.inner
-            .borrow()
-            .spans
-            .iter()
-            .find(|s| s.id == id)
-            .copied()
+        self.inner.borrow().spans().find(|s| s.id == id).copied()
     }
 
     /// Direct children of a span still in the ring, oldest first.
     pub fn children(&self, id: SpanId) -> Vec<SpanRecord> {
-        self.inner
-            .borrow()
-            .spans
-            .iter()
+        let inner = self.inner.borrow();
+        inner
+            .spans()
             .filter(|s| s.parent == Some(id))
             .copied()
             .collect()
@@ -381,10 +527,9 @@ impl Profiler {
     /// causal tree can reach across trace ids (e.g. notify packets carry
     /// trace 0); follow `parent` links via [`Profiler::span`] for those.
     pub fn packet_spans(&self, trace: u64) -> Vec<SpanRecord> {
-        self.inner
-            .borrow()
-            .spans
-            .iter()
+        let inner = self.inner.borrow();
+        inner
+            .spans()
             .filter(|s| s.trace == trace)
             .copied()
             .collect()
@@ -446,7 +591,7 @@ impl Profiler {
     pub fn chrome_trace(&self) -> String {
         let inner = self.inner.borrow();
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, s) in inner.spans.iter().enumerate() {
+        for (i, s) in inner.spans().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -701,5 +846,153 @@ mod tests {
         assert_eq!(a.parse, b.parse);
         assert_eq!(a.rule_tiers, b.rule_tiers);
         assert_eq!(a.rule_tiers.len(), RULE_TIERS);
+    }
+
+    /// The trace-event side of the shared ring.
+    mod events {
+        use super::*;
+        use crate::trace::{DropReason, TraceEvent, TraceEventKind, TraceFilter};
+
+        fn ev(at: u64, id: u64, server: u32, kind: TraceEventKind) -> TraceEvent {
+            TraceEvent {
+                at: SimTime(at),
+                trace_id: id,
+                server: ServerId(server),
+                vnic: VnicId(1),
+                kind,
+            }
+        }
+
+        fn recorder(capacity: usize) -> Profiler {
+            let p = Profiler::new();
+            p.enable_events(capacity);
+            p
+        }
+
+        fn times(p: &Profiler) -> Vec<u64> {
+            p.events().iter().map(|e| e.at.nanos()).collect()
+        }
+
+        #[test]
+        fn disabled_trace_records_nothing() {
+            let p = Profiler::new();
+            p.event(ev(1, 1, 1, TraceEventKind::Enqueue));
+            assert!(p.events().is_empty());
+            assert_eq!(p.recorded(), 0);
+        }
+
+        #[test]
+        fn ring_evicts_oldest() {
+            let p = recorder(3);
+            for i in 0..5 {
+                p.event(ev(i, i, 1, TraceEventKind::Enqueue));
+            }
+            assert_eq!(p.events().len(), 3);
+            assert_eq!(p.recorded(), 5);
+            assert_eq!(p.evicted(), 2);
+            assert_eq!(times(&p), vec![2, 3, 4]);
+        }
+
+        #[test]
+        fn record_filter_applies() {
+            let p = recorder(16);
+            p.set_filter(TraceFilter::all().on_server(ServerId(2)).drops());
+            p.event(ev(1, 1, 1, TraceEventKind::Drop(DropReason::Backlog)));
+            p.event(ev(2, 2, 2, TraceEventKind::Enqueue));
+            p.event(ev(3, 3, 2, TraceEventKind::Drop(DropReason::PeerDown)));
+            let kept = p.events();
+            assert_eq!(kept.len(), 1);
+            assert_eq!(kept[0].kind, TraceEventKind::Drop(DropReason::PeerDown));
+        }
+
+        #[test]
+        fn query_and_packet_lookup() {
+            let p = recorder(16);
+            p.event(ev(1, 7, 1, TraceEventKind::Enqueue));
+            p.event(ev(2, 7, 1, TraceEventKind::TableMiss));
+            p.event(ev(3, 8, 2, TraceEventKind::NshEncap));
+            p.event(ev(4, 7, 2, TraceEventKind::Notify));
+            assert_eq!(p.packet(7).len(), 3);
+            assert_eq!(p.query(TraceFilter::all().on_server(ServerId(2))).len(), 2);
+            assert_eq!(p.query(TraceFilter::all()).len(), 4);
+        }
+
+        #[test]
+        fn clones_share_the_buffer() {
+            let p = recorder(8);
+            let other = p.clone();
+            other.event(ev(1, 1, 1, TraceEventKind::TableHit));
+            assert_eq!(p.events().len(), 1);
+        }
+
+        #[test]
+        fn combined_filter_requires_every_field() {
+            let p = recorder(16);
+            let all_three = TraceFilter::all()
+                .on_server(ServerId(2))
+                .on_vnic(VnicId(1))
+                .drops();
+            p.set_filter(all_three);
+            // Wrong server, wrong kind, wrong vnic — each fails one clause.
+            p.event(ev(1, 1, 1, TraceEventKind::Drop(DropReason::Fault)));
+            p.event(ev(2, 2, 2, TraceEventKind::Enqueue));
+            let mut other_vnic = ev(3, 3, 2, TraceEventKind::Drop(DropReason::Fault));
+            other_vnic.vnic = VnicId(9);
+            p.event(other_vnic);
+            // Passes all three.
+            p.event(ev(4, 4, 2, TraceEventKind::Drop(DropReason::Backlog)));
+            let kept = p.events();
+            assert_eq!(kept.len(), 1);
+            assert_eq!(kept[0].kind, TraceEventKind::Drop(DropReason::Backlog));
+            // query() applies the same conjunction over a buffered mix.
+            let u = recorder(16);
+            u.event(ev(1, 1, 2, TraceEventKind::Drop(DropReason::PeerDown)));
+            u.event(ev(2, 2, 2, TraceEventKind::TableHit));
+            u.event(ev(3, 3, 3, TraceEventKind::Drop(DropReason::PeerDown)));
+            let q = u.query(all_three);
+            assert_eq!(q.len(), 1);
+            assert_eq!(q[0].at, SimTime(1));
+        }
+
+        #[test]
+        fn ring_at_exactly_capacity_evicts_nothing() {
+            let p = recorder(4);
+            for i in 0..4 {
+                p.event(ev(i, i, 1, TraceEventKind::Enqueue));
+            }
+            assert_eq!(p.events().len(), 4);
+            assert_eq!(p.evicted(), 0);
+            assert_eq!(times(&p), vec![0, 1, 2, 3], "insertion order preserved");
+        }
+
+        #[test]
+        fn ring_at_capacity_plus_one_evicts_exactly_the_oldest() {
+            let p = recorder(4);
+            for i in 0..5 {
+                p.event(ev(i, i, 1, TraceEventKind::Enqueue));
+            }
+            assert_eq!(p.events().len(), 4);
+            assert_eq!(p.evicted(), 1);
+            assert_eq!(p.recorded(), 5);
+            assert_eq!(times(&p), vec![1, 2, 3, 4], "oldest event gone, order kept");
+        }
+
+        #[test]
+        fn spans_and_events_share_one_ring() {
+            let p = recorder(2);
+            p.enable(3);
+            let s = p.stage("parse");
+            p.event(ev(1, 7, 1, TraceEventKind::Enqueue));
+            p.record(span(s, None, 5)).unwrap();
+            assert_eq!((p.events().len(), p.spans().len()), (1, 1));
+            // The ring holds the larger capacity (3) of either kind.
+            p.event(ev(2, 7, 1, TraceEventKind::NshEncap));
+            p.mark(TraceEventKind::Notify, span(s, None, 0));
+            assert_eq!(p.evicted(), 2, "event + mark pushed out the oldest two");
+            assert_eq!(times(&p), vec![2, 2_000], "mark stamps the span's end");
+            assert_eq!(p.spans().len(), 1);
+            assert_eq!(p.recorded(), 5);
+            assert_eq!(p.total_cycles(), 5, "aggregates survive eviction");
+        }
     }
 }

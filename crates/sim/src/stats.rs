@@ -7,10 +7,9 @@
 //! utilization curves, Fig. 14's loss-rate trace).
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// An exact sample set with percentile queries.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Samples {
     values: Vec<f64>,
     sorted: bool,
@@ -102,7 +101,7 @@ impl Samples {
 }
 
 /// A labelled monotonic counter set for loss/throughput accounting.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Counter {
     /// Events that completed successfully (e.g. packets delivered).
     pub ok: u64,
@@ -127,7 +126,7 @@ impl Counter {
 }
 
 /// A quantity accumulated into fixed-width time bins.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TimeSeries {
     bin: SimDuration,
     bins: Vec<f64>,

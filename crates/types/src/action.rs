@@ -12,10 +12,9 @@
 //! produced only where both pre-actions *and* state are present.
 
 use crate::addr::{Ipv4Addr, ServerId};
-use serde::{Deserialize, Serialize};
 
 /// The accept/drop verdict portion of a decision.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Decision {
     /// Forward the packet.
     Accept,
@@ -36,7 +35,7 @@ impl Decision {
 /// rule tables: the preliminary verdict, routing/rewrite outputs, QoS class
 /// and statistics policy, plus flags for the stateful NFs that must combine
 /// this with session state before the verdict is final.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PreAction {
     /// Preliminary verdict from the ACL table. For a *stateful* ACL this is
     /// not final: the BE may override it using the first-packet direction.
@@ -99,7 +98,7 @@ impl PreAction {
 /// Both directions' pre-actions, as stored in one bidirectional cached-flow
 /// entry ("VPC ID, 5-tuple, pre-actions / 5-tuple(R), pre-actions" in the
 /// paper's Fig. 1) and as piggybacked FE→BE on the RX path.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PreActionPair {
     /// Pre-action for egress (TX) packets.
     pub tx: PreAction,
@@ -127,7 +126,7 @@ impl PreActionPair {
 
 /// The final processing action for one packet: the output of
 /// `process_pkt(pre_actions, state)` with state applied.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Action {
     /// Final verdict.
     pub verdict: Decision,

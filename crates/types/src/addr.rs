@@ -8,7 +8,6 @@
 //! * [`Ipv4Addr`] / [`MacAddr`] are compact wire-friendly address types used
 //!   in both overlay (tenant) and underlay (datacenter) headers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 32-bit IPv4 address stored in host byte order.
@@ -16,7 +15,7 @@ use std::fmt;
 /// We intentionally do not use `std::net::Ipv4Addr`: this type needs cheap
 /// arithmetic (prefix masking, offsetting for synthetic address allocation)
 /// and direct `u32` access in hot paths of the simulator.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Ipv4Addr(pub u32);
 
 impl Ipv4Addr {
@@ -75,7 +74,7 @@ impl From<u32> for Ipv4Addr {
 }
 
 /// A 48-bit Ethernet MAC address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -114,7 +113,7 @@ macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
+            Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
         )]
         pub struct $name(pub u32);
 

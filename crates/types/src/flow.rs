@@ -2,7 +2,6 @@
 
 use crate::addr::VpcId;
 use crate::five_tuple::FiveTuple;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Direction of a packet relative to the vNIC it belongs to.
@@ -12,7 +11,7 @@ use std::fmt;
 ///
 /// Stateful ACL (paper §5.1) records the direction of a session's first
 /// packet as its state.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Direction {
     /// Egress: VM → network.
     Tx,
@@ -43,7 +42,7 @@ impl fmt::Display for Direction {
 ///
 /// The VPC ID disambiguates tenants reusing identical private 5-tuples
 /// (paper §2.1, Fig. 1).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Owning tenant network.
     pub vpc: VpcId,
@@ -86,7 +85,7 @@ impl fmt::Debug for FlowKey {
 /// state (TCP FSM, first-packet direction, statistics) lives in exactly one
 /// entry — the property that lets Nezha keep a single local copy of state
 /// with no cross-node synchronization (paper §3.1).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionKey {
     /// Owning tenant network.
     pub vpc: VpcId,

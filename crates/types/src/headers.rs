@@ -11,7 +11,6 @@ use crate::error::{CodecError, CodecResult};
 use crate::five_tuple::{FiveTuple, IpProtocol};
 use crate::{Ipv4Addr, MacAddr};
 use bytes::BufMut;
-use serde::{Deserialize, Serialize};
 
 /// EtherType for IPv4.
 pub const ETHERTYPE_IPV4: u16 = 0x0800;
@@ -37,7 +36,7 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 }
 
 /// Ethernet II frame header (14 bytes, no 802.1Q tags).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EthernetHeader {
     /// Destination MAC.
     pub dst: MacAddr,
@@ -93,7 +92,7 @@ impl EthernetHeader {
 }
 
 /// IPv4 header (20 bytes; options unsupported).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Ipv4Header {
     /// Differentiated services byte (QoS class selectors).
     pub dscp_ecn: u8,
@@ -224,7 +223,7 @@ macro_rules! bitflags_lite {
         }
     ) => {
         $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Default)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
         pub struct $name(pub $ty);
 
         impl $name {
@@ -269,7 +268,7 @@ bitflags_lite! {
 
 /// TCP header (20 bytes; options elided — MSS etc. are not consulted by the
 /// vSwitch, only by endpoints which the simulator models abstractly).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TcpHeader {
     /// Source port.
     pub src_port: u16,
@@ -362,7 +361,7 @@ impl TcpHeader {
 }
 
 /// UDP header (8 bytes).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,
@@ -424,7 +423,7 @@ impl UdpHeader {
 /// VXLAN header (8 bytes, RFC 7348). The overlay encapsulation used between
 /// vSwitches: outer IP/UDP addresses name *servers*, the VNI names the
 /// tenant VPC.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct VxlanHeader {
     /// 24-bit VXLAN network identifier. We map VNI = VPC id.
     pub vni: u32,

@@ -16,10 +16,9 @@ use crate::headers::{
 };
 use crate::nsh::{NezhaHeader, NezhaPayloadKind};
 use bytes::BytesMut;
-use serde::{Deserialize, Serialize};
 
 /// High-level classification of a simulated packet.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PacketKind {
     /// A tenant overlay data packet.
     Data,
@@ -28,7 +27,7 @@ pub enum PacketKind {
 }
 
 /// A packet in flight in the simulator.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Packet {
     /// Monotonic trace id assigned by the generator, for loss accounting.
     pub trace: u64,

@@ -8,13 +8,12 @@
 //! support stateful NFs that depend on connection status.
 
 use crate::flow::Direction;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Conntrack states, a deliberately small subset of RFC 793's machine:
 /// the vSwitch only needs to distinguish "establishing", "established",
 /// "closing", and "closed" for aging and policy purposes.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum TcpState {
     /// No packets seen yet.
     #[default]
@@ -70,7 +69,7 @@ impl fmt::Display for TcpState {
 }
 
 /// An observed TCP segment, reduced to what the tracker needs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TcpEvent {
     /// Direction relative to the session *originator* (the side that sent
     /// the first packet): `Tx` = from originator, `Rx` = from responder.

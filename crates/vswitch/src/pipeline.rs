@@ -7,13 +7,11 @@
 //! (which has rules/flows but receives state in the packet), and at a
 //! Nezha BE (which has state but receives pre-actions in the packet).
 
-use crate::config::CostModel;
 use crate::vnic::Vnic;
 use nezha_types::{
     Action, Direction, FiveTuple, Packet, PreAction, PreActionPair, SessionState,
     StatefulDecapState, TcpEvent,
 };
-use serde::{Deserialize, Serialize};
 
 /// Result of one slow-path lookup: the bidirectional pre-actions that get
 /// cached as a flow entry.
@@ -24,7 +22,7 @@ pub struct LookupResult {
 }
 
 /// Which processing path a packet took.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PathTaken {
     /// Exact-match hit on the cached flow.
     Fast,
@@ -71,7 +69,8 @@ pub struct ProcessResult {
     pub session_overflow: bool,
 }
 
-/// Per-stage decomposition of one CPU charge, produced by [`stage_costs`]
+/// Per-stage decomposition of one CPU charge, produced by
+/// [`SwitchGraphs::stage_costs`](crate::stage::SwitchGraphs::stage_costs)
 /// for the profiler. Leaf cycles always sum to exactly the charged total.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StageCosts {
@@ -93,33 +92,6 @@ impl StageCosts {
     pub fn total(&self) -> u64 {
         self.dma + self.parse + self.session + self.overhead + self.tiers.iter().sum::<u64>()
     }
-}
-
-/// Splits one charged cycle `total` into per-stage shares following the
-/// process graph's derived cost plan for `path`.
-///
-/// Shares are assigned by sequential budgeting — each stage takes
-/// `min(model cost, remaining budget)` and the path's absorber slot
-/// takes the remainder — so the parts sum to `total` *exactly* even when
-/// a vNIC `lookup_weight` or gray-failure multiplier scaled the charge
-/// away from the nominal model costs (see [`crate::stage::costing`]).
-/// The plans here are the standard graph's, proven equal to the compiled
-/// topology by the stage-module tests; callers holding a compiled graph
-/// should prefer [`crate::stage::SwitchGraphs::stage_costs`]. Costs the
-/// model does not split (BE state work, notify processing) are not
-/// artificially split here.
-pub fn stage_costs(
-    costs: &CostModel,
-    vnic: &Vnic,
-    bytes: usize,
-    total: u64,
-    path: PathTaken,
-) -> StageCosts {
-    let plan = match path {
-        PathTaken::Fast => crate::stage::FAST_PLAN,
-        PathTaken::Slow => crate::stage::SLOW_PLAN,
-    };
-    crate::stage::costing::costs_from_plan(plan, costs, vnic, bytes, total)
 }
 
 /// Runs the compiled rule-table `graph` for the session of `tuple` as

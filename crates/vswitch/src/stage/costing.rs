@@ -62,25 +62,28 @@ pub fn costs_from_plan(
     out
 }
 
-/// Emits `(handle, cycles)` for each realized slot of `plan`, in plan
-/// order, against the profiler's registered stage set. Zero-cycle leaves
-/// are emitted too — the span recorder filters them — so callers that
-/// record directly should skip zeros themselves.
+/// Appends `(handle, cycles)` for each realized slot of `plan` to
+/// `leaves`, in plan order, against the profiler's registered stage set.
+/// Zero-cycle leaves are appended too —
+/// [`Profiler::record_tree`](nezha_sim::profile::Profiler::record_tree)
+/// skips them.
 pub fn plan_leaves(
     plan: &[CostSlot],
     st: &StageSet,
     c: &StageCosts,
-    f: &mut dyn FnMut(StageHandle, u64),
+    leaves: &mut Vec<(StageHandle, u64)>,
 ) {
     for slot in plan {
         match slot {
-            CostSlot::Dma => f(st.dma, c.dma),
-            CostSlot::Parse => f(st.parse, c.parse),
-            CostSlot::SessionResidue | CostSlot::SessionCreate => f(st.session_lookup, c.session),
-            CostSlot::SlowOverhead => f(st.slowpath, c.overhead),
+            CostSlot::Dma => leaves.push((st.dma, c.dma)),
+            CostSlot::Parse => leaves.push((st.parse, c.parse)),
+            CostSlot::SessionResidue | CostSlot::SessionCreate => {
+                leaves.push((st.session_lookup, c.session))
+            }
+            CostSlot::SlowOverhead => leaves.push((st.slowpath, c.overhead)),
             CostSlot::RuleTiers => {
                 for (i, &cycles) in c.tiers.iter().enumerate() {
-                    f(st.rule_tiers[i.min(st.rule_tiers.len() - 1)], cycles);
+                    leaves.push((st.rule_tiers[i.min(st.rule_tiers.len() - 1)], cycles));
                 }
             }
         }

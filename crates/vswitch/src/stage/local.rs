@@ -86,7 +86,7 @@ impl<'a> LocalRun<'a> {
         } else {
             PathTaken::Slow
         };
-        self.vs.trace_event(
+        self.vs.trace(
             self.now,
             self.pkt,
             if have_cached {
@@ -114,7 +114,7 @@ impl<'a> LocalRun<'a> {
             CpuOutcome::Done { done_at } => {
                 self.done = done_at;
                 self.vs
-                    .trace_event(self.now, self.pkt, TraceEventKind::CpuCharge { cycles });
+                    .trace(self.now, self.pkt, TraceEventKind::CpuCharge { cycles });
                 self.vs
                     .profile_local(self.pkt, self.now, done_at, cycles, self.bytes, self.path);
                 StageVerdict::Continue

@@ -183,8 +183,15 @@ impl SwitchGraphs {
     }
 
     /// Splits one charged cycle total into per-stage shares following
-    /// the process graph's derived cost plan (leaves sum to `total`
-    /// exactly).
+    /// the process graph's derived cost plan for `path`.
+    ///
+    /// Shares are assigned by sequential budgeting — each stage takes
+    /// `min(model cost, remaining budget)` and the path's absorber slot
+    /// takes the remainder — so the parts sum to `total` *exactly* even
+    /// when a vNIC `lookup_weight` or gray-failure multiplier scaled the
+    /// charge away from the nominal model costs (see [`costing`]). Costs
+    /// the model does not split (BE state work, notify processing) are
+    /// not artificially split here.
     pub fn stage_costs(
         &self,
         costs: &CostModel,

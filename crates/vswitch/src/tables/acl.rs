@@ -7,10 +7,9 @@
 //! direction (§5.1). A default verdict applies when nothing matches.
 
 use nezha_types::{Decision, Direction, FiveTuple, IpProtocol, Ipv4Addr};
-use serde::{Deserialize, Serialize};
 
 /// An inclusive port range. `PortRange::ANY` matches every port.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PortRange {
     /// Lowest matching port.
     pub lo: u16,
@@ -37,7 +36,7 @@ impl PortRange {
 }
 
 /// One ACL rule.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AclRule {
     /// Priority; lower value = matched first.
     pub priority: u32,
@@ -88,7 +87,7 @@ impl AclRule {
 }
 
 /// Result of an ACL lookup.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AclVerdict {
     /// The matched (or default) decision.
     pub decision: Decision,
@@ -99,7 +98,7 @@ pub struct AclVerdict {
 /// The ACL table: rules in priority order plus a default verdict.
 ///
 /// `Default` is [`AclTable::allow_all`] — the permissive stateless table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AclTable {
     rules: Vec<AclRule>,
     /// Default verdict for egress traffic when no rule matches.

@@ -6,11 +6,10 @@
 //! allocation-light LPM adequate for the table sizes the model uses.
 
 use nezha_types::Ipv4Addr;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Outcome of a route lookup.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RouteTarget {
     /// Deliver within the VPC overlay toward this gateway/endpoint hint
     /// (the vNIC→server map resolves the physical server).
@@ -20,7 +19,7 @@ pub enum RouteTarget {
 }
 
 /// The LPM route table.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RouteTable {
     /// Prefix-length → (masked address → target). Probed longest-first.
     by_len: BTreeMap<u8, BTreeMap<u32, RouteTarget>>,

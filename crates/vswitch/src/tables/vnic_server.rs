@@ -12,14 +12,13 @@
 //! by-memory bottleneck.
 
 use nezha_types::{Ipv4Addr, ServerId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Hosting set for one overlay address. Almost every entry points at a
 /// single server (only offloaded vNICs fan out to FE lists), and `set`
 /// runs once per learned peer connection, so the single-server case is
 /// kept inline to avoid a heap allocation per call.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 enum Hosting {
     One(ServerId),
     Many(Vec<ServerId>),
@@ -39,7 +38,7 @@ impl Hosting {
 /// Under Nezha an offloaded vNIC maps to *several* servers (its FEs); the
 /// sender picks one by flow hash. A non-offloaded vNIC maps to exactly its
 /// home server.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct VnicServerMap {
     entries: BTreeMap<Ipv4Addr, Hosting>,
 }

@@ -1,9 +1,8 @@
-//! Per-switch telemetry plumbing: counter handles, trace buffer,
-//! profiler + registered stage set.
+//! Per-switch telemetry plumbing: counter handles and the per-packet
+//! recorder (profiler) + its registered stage set.
 
 use nezha_sim::metrics::{CounterHandle, MetricsRegistry};
 use nezha_sim::profile::{Profiler, StageSet};
-use nezha_sim::trace::PacketTrace;
 
 /// Lifetime packet counters of one vSwitch.
 ///
@@ -28,13 +27,12 @@ pub struct VSwitchCounters {
     pub mirrored: u64,
 }
 
-/// Pre-registered handles for the per-switch counters. Registered once at
-/// construction (or re-registered on `VSwitch::attach_metrics`); the hot
-/// path only does handle increments.
+/// Pre-registered handles for the per-switch counters and the recorder's
+/// stages. Registered once at construction (or re-registered on
+/// `VSwitch::attach_metrics`); the hot path only does handle increments.
 #[derive(Clone, Debug)]
 pub(crate) struct SwitchTelemetry {
     pub(crate) registry: MetricsRegistry,
-    pub(crate) trace: PacketTrace,
     pub(crate) profiler: Profiler,
     pub(crate) stages: StageSet,
     pub(crate) forwarded: CounterHandle,
@@ -47,14 +45,16 @@ pub(crate) struct SwitchTelemetry {
 }
 
 impl SwitchTelemetry {
-    pub(crate) fn register(registry: &MetricsRegistry, server: nezha_types::ServerId) -> Self {
+    pub(crate) fn register(
+        registry: &MetricsRegistry,
+        server: nezha_types::ServerId,
+        profiler: Profiler,
+    ) -> Self {
         let labels = [("server", server.raw().to_string())];
         let c = |name: &str| registry.counter(name, &labels);
-        let profiler = Profiler::new();
         let stages = StageSet::register(&profiler);
         SwitchTelemetry {
             registry: registry.clone(),
-            trace: PacketTrace::disabled(),
             profiler,
             stages,
             forwarded: c("vswitch.forwarded"),

@@ -20,10 +20,10 @@ use crate::telemetry::SwitchTelemetry;
 use crate::vnic::Vnic;
 use nezha_sim::dense::DenseMap;
 use nezha_sim::metrics::MetricsRegistry;
-use nezha_sim::profile::{Profiler, Span, SpanId, StageSet};
+use nezha_sim::profile::{Profiler, Span, StageSet};
 use nezha_sim::resources::{CpuOutcome, CpuServer, MemoryPool, OutOfMemory};
 use nezha_sim::time::SimTime;
-use nezha_sim::trace::{DropReason, PacketTrace, TraceEvent, TraceEventKind};
+use nezha_sim::trace::{DropReason, TraceEvent, TraceEventKind};
 use nezha_types::{Packet, VnicId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -77,7 +77,7 @@ impl VSwitch {
             mem: MemoryPool::new(cfg.table_memory),
             vnics: DenseMap::new(),
             sessions: SessionTable::new(),
-            tel: SwitchTelemetry::register(&MetricsRegistry::new(), id),
+            tel: SwitchTelemetry::register(&MetricsRegistry::new(), id, Profiler::new()),
             graphs: Arc::new(SwitchGraphs::standard()),
             vnic_cycles: BTreeMap::new(),
             vnic_charged: DenseMap::new(),
@@ -102,13 +102,7 @@ impl VSwitch {
     /// snapshot covers every switch.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         let old = self.tel.view();
-        let trace = self.tel.trace.clone();
-        let profiler = self.tel.profiler.clone();
-        let stages = self.tel.stages.clone();
-        self.tel = SwitchTelemetry::register(registry, self.id);
-        self.tel.trace = trace;
-        self.tel.profiler = profiler;
-        self.tel.stages = stages;
+        self.tel = SwitchTelemetry::register(registry, self.id, self.tel.profiler.clone());
         let carry = [
             (self.tel.forwarded, old.forwarded),
             (self.tel.acl_drops, old.acl_drops),
@@ -123,23 +117,14 @@ impl VSwitch {
         }
     }
 
-    /// Attaches a shared [`PacketTrace`]; subsequent packets record
-    /// structured events (enqueue, CPU charge, table hit/miss, drops).
-    pub fn attach_trace(&mut self, trace: &PacketTrace) {
-        self.tel.trace = trace.clone();
-    }
-
-    /// Attaches a shared [`Profiler`]; while it is enabled, every CPU
-    /// charge in [`VSwitch::process_local`] records a causal span tree
-    /// decomposed per pipeline stage.
+    /// Attaches the shared per-packet recorder. While its spans are on,
+    /// every CPU charge in [`VSwitch::process_local`] records a causal
+    /// span tree decomposed per pipeline stage; while its events are on,
+    /// packets record structured events (enqueue, CPU charge, table
+    /// hit/miss, drops).
     pub fn attach_profiler(&mut self, profiler: &Profiler) {
         self.tel.profiler = profiler.clone();
         self.tel.stages = StageSet::register(profiler);
-    }
-
-    /// The attached profiler (a private disabled one by default).
-    pub fn profiler(&self) -> &Profiler {
-        &self.tel.profiler
     }
 
     /// Lifetime counters, assembled from the metrics registry.
@@ -289,18 +274,11 @@ impl VSwitch {
         self.sessions.expire(now, &self.cfg, &mut self.mem)
     }
 
-    /// Records one structured trace event for `pkt` (no-op when no trace
-    /// buffer is attached or the filter rejects it).
-    pub fn trace_event(&self, at: SimTime, pkt: &Packet, kind: TraceEventKind) {
-        if self.tel.trace.is_enabled() {
-            self.tel.trace.record(TraceEvent {
-                at,
-                trace_id: pkt.trace,
-                server: self.id,
-                vnic: pkt.vnic,
-                kind,
-            });
-        }
+    /// Records one structured trace event for `pkt` on this switch.
+    pub(crate) fn trace(&self, at: SimTime, pkt: &Packet, kind: TraceEventKind) {
+        self.tel
+            .profiler
+            .event(TraceEvent::of(at, self.id, pkt, kind));
     }
 
     /// Processes one packet in the **traditional local architecture**:
@@ -312,7 +290,7 @@ impl VSwitch {
     /// establishment, admission — is the compiled process graph driving
     /// a [`LocalRun`] environment.
     pub fn process_local(&mut self, pkt: &Packet, now: SimTime) -> ProcessResult {
-        self.trace_event(now, pkt, TraceEventKind::Enqueue);
+        self.trace(now, pkt, TraceEventKind::Enqueue);
         if !self.vnics.contains_key(&pkt.vnic) {
             return self.finish_traced(
                 ProcessOutcome::Unroutable,
@@ -360,39 +338,12 @@ impl VSwitch {
         };
         let st = &self.tel.stages;
         let total = self.scaled_cycles(nominal_cycles);
-        let base = Span {
-            stage: st.local,
-            parent: SpanId::from_raw(pkt.prof_span),
-            trace: pkt.trace,
-            server: self.id,
-            vnic: pkt.vnic,
-            start,
-            end,
-            cycles: 0,
-            bytes: bytes as u64,
-            packets: 1,
-        };
-        let root = prof.record(base);
         let c = self
             .graphs
             .stage_costs(&self.cfg.costs, vnic, bytes, total, path);
-        costing::plan_leaves(
-            self.graphs.process.plan(path),
-            st,
-            &c,
-            &mut |stage, cycles| {
-                if cycles > 0 {
-                    prof.record(Span {
-                        stage,
-                        parent: root,
-                        cycles,
-                        bytes: 0,
-                        packets: 0,
-                        ..base
-                    });
-                }
-            },
-        );
+        let mut leaves = Vec::new();
+        costing::plan_leaves(self.graphs.process.plan(path), st, &c, &mut leaves);
+        prof.record_tree(Span::root(st.local, pkt, self.id, start, end), &leaves);
     }
 
     fn finish_traced(
@@ -434,7 +385,7 @@ impl VSwitch {
             reg.inc(self.tel.session_overflows);
         }
         if let Some(reason) = drop_reason {
-            self.trace_event(done_at, pkt, TraceEventKind::Drop(reason));
+            self.trace(done_at, pkt, TraceEventKind::Drop(reason));
         }
         ProcessResult {
             outcome,

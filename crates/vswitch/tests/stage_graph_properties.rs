@@ -241,9 +241,9 @@ proptest! {
         let p = Profiler::new();
         let st = StageSet::register(&p);
         let c = costs_from_plan(&plan, &costs, &vnic, bytes, total);
-        let mut sum = 0u64;
-        plan_leaves(&plan, &st, &c, &mut |_stage, cycles| sum += cycles);
-        prop_assert_eq!(sum, total);
+        let mut leaves = Vec::new();
+        plan_leaves(&plan, &st, &c, &mut leaves);
+        prop_assert_eq!(leaves.iter().map(|&(_, cycles)| cycles).sum::<u64>(), total);
     }
 
     /// The combinator-composed lookup pipeline computes, packet for

@@ -1,7 +1,7 @@
 //! A tour of the telemetry subsystem through the `nezha::prelude`:
 //! build a cluster with the config builder, drive traffic, offload the
 //! vNIC, and read everything back through metrics snapshots and the
-//! packet trace — including the typed errors the control plane returns
+//! packet-level trace events — including the typed errors the control plane returns
 //! for invalid operations.
 //!
 //! Run with `cargo run --example telemetry_tour`.
@@ -81,12 +81,12 @@ fn main() {
         );
     }
 
-    // --- Trace: the bounded ring of packet-level events.
-    let trace = cluster.trace();
+    // --- Trace: packet-level events in the recorder's bounded ring.
+    let trace = cluster.profiler();
     println!();
     println!(
         "trace ring      : {} events held ({} recorded, {} evicted)",
-        trace.len(),
+        trace.events().len(),
         trace.recorded(),
         trace.evicted()
     );

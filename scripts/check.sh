@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local gate, in the order CI would run it: formatting, the
-# nezha-lint determinism/panic-safety pass, lints as errors, then the
-# test suite.
+# nezha-lint determinism/panic-safety pass, lints as errors, then every
+# test of every workspace crate.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the full test suite (quick pre-commit run); still runs
@@ -72,8 +72,8 @@ if [ "$fast" -eq 1 ]; then
     cargo run -q --release -p nezha-bench --bin experiments -- watch
     echo "All checks passed (--fast: full test suite skipped)."
 else
-    echo "==> cargo test -q"
-    cargo test -q
+    echo "==> cargo test -q --workspace"
+    cargo test -q --workspace
     echo "==> cargo test -q --test chaos   (fault-injection suite)"
     cargo test -q --test chaos
     echo "All checks passed."

@@ -72,7 +72,8 @@ pub use nezha_workloads as workloads;
 /// [`VSwitchConfig`], their builders), populating it ([`Vnic`],
 /// [`VnicProfile`], [`VmConfig`], the workload generators), driving it
 /// ([`SimTime`], [`SimDuration`], [`ConnSpec`]), and reading it back
-/// ([`MetricsRegistry`], [`PacketTrace`], [`Profiler`], [`NezhaError`]).
+/// ([`MetricsRegistry`], the [`Profiler`] recorder of spans and trace
+/// events, [`NezhaError`]).
 pub mod prelude {
     pub use nezha_core::cluster::{Cluster, ClusterConfig, ClusterConfigBuilder, LbMode};
     pub use nezha_core::config::ConfigOp;
@@ -86,7 +87,7 @@ pub mod prelude {
     pub use nezha_sim::report::{BenchReport, Sample, BENCH_SCHEMA_VERSION};
     pub use nezha_sim::time::{SimDuration, SimTime};
     pub use nezha_sim::topology::TopologyConfig;
-    pub use nezha_sim::trace::{PacketTrace, TraceEvent, TraceEventKind, TraceFilter};
+    pub use nezha_sim::trace::{TraceEvent, TraceEventKind, TraceFilter};
     pub use nezha_types::{
         FiveTuple, Ipv4Addr, NezhaError, NezhaResult, ServerId, SessionKey, VnicId, VpcId,
     };

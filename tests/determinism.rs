@@ -128,7 +128,7 @@ fn run_telemetry_scenario(seed: u64) -> (String, Vec<TraceEvent>) {
         .unwrap();
     }
     c.run_until(c.now() + SimDuration::from_secs(6));
-    (c.metrics().snapshot().to_json(), c.trace().events())
+    (c.metrics().snapshot().to_json(), c.profiler().events())
 }
 
 #[test]

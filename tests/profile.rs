@@ -6,8 +6,10 @@
 use nezha::core::cluster::{Cluster, ClusterConfig};
 use nezha::core::conn::{ConnKind, ConnSpec};
 use nezha::core::vm::VmConfig;
+use nezha::sim::fault::FaultPlan;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::sim::topology::TopologyConfig;
+use nezha::sim::trace::TraceEventKind;
 use nezha::types::{FiveTuple, Ipv4Addr, ServerId, VnicId, VpcId};
 use nezha::vswitch::vnic::{Vnic, VnicProfile};
 
@@ -19,6 +21,18 @@ const SERVICE: Ipv4Addr = Ipv4Addr::new(10, 7, 0, 1);
 /// emits §3.2.2 notifies). Returns the cluster after the run plus the
 /// cycles charged while the profiler was enabled.
 fn profiled_cluster(seed: u64, span_capacity: usize) -> (Cluster, f64) {
+    recorded_cluster(seed, Some(span_capacity), None, FaultPlan::new())
+}
+
+/// [`profiled_cluster`] with each record kind of the shared recorder
+/// switched on independently (`None` leaves it off) and `faults`
+/// applied when traffic starts.
+fn recorded_cluster(
+    seed: u64,
+    span_capacity: Option<usize>,
+    trace_capacity: Option<usize>,
+    faults: FaultPlan,
+) -> (Cluster, f64) {
     let cfg = ClusterConfig::builder()
         .topology(TopologyConfig {
             servers_per_rack: 12,
@@ -45,7 +59,13 @@ fn profiled_cluster(seed: u64, span_capacity: usize) -> (Cluster, f64) {
     c.run_until(SimTime::ZERO + SimDuration::from_secs(3));
 
     let base = c.total_charged_cycles();
-    c.enable_profile(span_capacity);
+    if let Some(n) = span_capacity {
+        c.enable_profile(n);
+    }
+    if let Some(n) = trace_capacity {
+        c.enable_trace(n);
+    }
+    c.apply_fault_plan(faults);
     for i in 0..150u32 {
         c.add_conn(ConnSpec {
             vnic: VnicId(1),
@@ -207,4 +227,42 @@ fn disabled_profiler_records_nothing() {
     assert_eq!(c.profiler().recorded(), 0);
     assert_eq!(c.profiler().total_cycles(), 0);
     assert_eq!(c.profiler().flamegraph(), "");
+}
+
+#[test]
+fn trace_and_profile_together_match_each_alone() {
+    // Both record kinds share one ring; with room for everything, turning
+    // both on must change neither. Notify loss exercises the fault-drop
+    // sites that record an event and a span in one call.
+    const ROOM: usize = 1 << 20;
+    let faults = || FaultPlan::new().notify_drop(SimTime::ZERO + SimDuration::from_secs(3), 0.3);
+    let (both, _) = recorded_cluster(42, Some(ROOM), Some(ROOM), faults());
+    let (trace_only, _) = recorded_cluster(42, None, Some(ROOM), faults());
+    let (profile_only, _) = recorded_cluster(42, Some(ROOM), None, faults());
+    let (b, t, p) = (
+        both.profiler(),
+        trace_only.profiler(),
+        profile_only.profiler(),
+    );
+    assert_eq!(b.evicted(), 0, "grow ROOM: the shared ring evicted records");
+    let events = b.events();
+    assert!(events
+        .iter()
+        .any(|e| matches!(e.kind, TraceEventKind::Drop(_))));
+    assert_eq!(
+        events,
+        t.events(),
+        "trace events differ from a trace-only run"
+    );
+    assert_eq!(
+        b.flamegraph(),
+        p.flamegraph(),
+        "flamegraph differs from a profile-only run"
+    );
+    assert_eq!(
+        b.chrome_trace(),
+        p.chrome_trace(),
+        "chrome trace differs from a profile-only run"
+    );
+    assert_eq!(b.recorded(), t.recorded() + p.recorded());
 }

@@ -169,7 +169,7 @@ fn run_testbed(seed: u64) -> String {
         "metrics_hash={:016x}",
         fnv1a(c.metrics().snapshot().to_json().as_bytes())
     );
-    let _ = writeln!(out, "trace_events={}", c.trace().events().len());
+    let _ = writeln!(out, "trace_events={}", c.profiler().events().len());
     out
 }
 

@@ -13,7 +13,7 @@
 //! - **D10 hot-path allocation** — heap allocation (`Vec::new`,
 //!   `with_capacity`, `vec!`, `format!`, `.to_vec()`, `.collect()`,
 //!   `.clone()` of a heap-typed binding …) inside, or reachable from,
-//!   the bucket-ladder drain, the DenseMap probe path, the NSH codec,
+//!   the event-queue drain, the DenseMap probe path, the NSH codec,
 //!   or a datapath handler.
 //! - **D11 shard safety** — `static mut`, `static` items,
 //!   `thread_local!`, `Rc`, `RefCell` in sim-visible crates outside the
@@ -64,14 +64,27 @@ const HOT_FILES: [&str; 5] = [
 ];
 
 /// Hot-path files where only the named functions are D10 roots. The
-/// bucket ladder's schedule side and the DenseMap write side allocate by
+/// event queue's schedule side and the DenseMap write side allocate by
 /// design (amortised growth, spare-buffer recycling) — the drain and
-/// probe paths must not. `LogHistogram`'s record path is pinned too: it
+/// probe paths must not. The drain side includes opening blocks into
+/// buckets, the far-heap migration, and the key filing (`stage_key`)
+/// both share with scheduling. `LogHistogram`'s record path is pinned too: it
 /// runs per sample on the datapath and must stay fixed-memory.
 const HOT_FNS: [(&str, &[&str]); 4] = [
     (
         "crates/sim/src/engine.rs",
-        &["pop", "pop_until", "pop_batch_until", "refill", "peek_time"],
+        &[
+            "pop",
+            "pop_until",
+            "pop_batch_until",
+            "due_by",
+            "refill",
+            "open_blocks",
+            "migrate_far",
+            "stage_key",
+            "horizon_near_clock",
+            "peek_time",
+        ],
     ),
     ("crates/sim/src/obs/loghist.rs", &["record", "bucket_index"]),
     (

@@ -16,7 +16,7 @@
 //! | D7   | error    | direct telemetry/trace/profiler access in datapath handlers (must go through `HandlerCtx`) |
 //! | D8   | error    | panic site transitively reachable from a control-plane entry point |
 //! | D9   | error    | `SimRng` seeded outside `derive_seed`, or a stream name reused across modules |
-//! | D10  | error    | heap allocation on a hot path (ladder drain, DenseMap probe, NSH codec, datapath handlers) |
+//! | D10  | error    | heap allocation on a hot path (event-queue drain, DenseMap probe, NSH codec, datapath handlers) |
 //! | D11  | error    | `static mut` / statics / `thread_local!` / `Rc` / `RefCell` in shard-candidate code |
 //! | D12  | error    | direct rule-table field access outside stage impls / graph construction / control-plane table management |
 //!

@@ -110,7 +110,7 @@ pub const ALL_RULES: [RuleInfo; 12] = [
     RuleInfo {
         id: "D10",
         severity: Severity::Error,
-        summary: "heap allocation / format! / heap clone on a hot path (ladder drain, \
+        summary: "heap allocation / format! / heap clone on a hot path (event-queue drain, \
                   DenseMap probe, NSH codec, datapath handlers)",
     },
     RuleInfo {
